@@ -693,6 +693,7 @@ def _cmd_serve(args) -> int:
         DEFAULT_MAX_INFLIGHT,
         DEFAULT_PORT,
         DEFAULT_REQUEST_TIMEOUT,
+        make_server,
         serve,
     )
 
@@ -705,11 +706,7 @@ def _cmd_serve(args) -> int:
     service = CertificationService(
         cache_size=args.cache_size, workers=args.workers
     )
-    print(f"serving on http://{host}:{port} "
-          f"(workers={args.workers}, cache={args.cache_size}, "
-          f"max_inflight={max_inflight})",
-          file=sys.stderr)
-    serve(
+    server = make_server(
         host,
         port,
         service=service,
@@ -717,6 +714,12 @@ def _cmd_serve(args) -> int:
         max_inflight=max_inflight,
         request_timeout=request_timeout,
     )
+    bound_host, bound_port = server.server_address[:2]
+    print(f"serving on http://{bound_host}:{bound_port} "
+          f"(workers={args.workers}, cache={args.cache_size}, "
+          f"max_inflight={max_inflight})",
+          file=sys.stderr, flush=True)
+    serve(server)
     return 0
 
 

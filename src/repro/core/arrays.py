@@ -8,10 +8,10 @@ plain int that fits, ``object`` otherwise — and conversion back through
 numpy scalars back into ``bool``/``int``), so the dict path and the
 array path always see the same states.
 
-Unlike :class:`~repro.core.labeling.Labeling` (immutable, one value per
-node) this store is *mutable by row*: detection sessions own one and
-update only the registers inside a fault's ball, which is the
-O(ball(k))-per-sweep contract of the incremental engine.
+The vectorized marker kernels emit whole columns into it
+(:meth:`ArrayLabeling.from_column`), which :meth:`to_labeling` turns
+back into the :class:`~repro.core.labeling.Labeling` the dict path
+would have built.
 """
 
 from __future__ import annotations
@@ -85,23 +85,6 @@ class ArrayLabeling:
         vectorized marker kernels emit into (no per-node conversion)."""
         return cls(int(column.shape[0]), {field: column})
 
-    @classmethod
-    def from_fields(
-        cls, n: int, fields: Mapping[str, Mapping[int, Any]]
-    ) -> "ArrayLabeling":
-        """One column per field, each covering every node."""
-        columns = {}
-        for name, mapping in fields.items():
-            missing = [v for v in range(n) if v not in mapping]
-            if missing:
-                raise SchemeError(
-                    f"field {name!r} misses nodes {missing[:5]}"
-                )
-            columns[name] = column_from_values(
-                (mapping[v] for v in range(n)), n
-            )
-        return cls(n, columns)
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -124,34 +107,6 @@ class ArrayLabeling:
         """The Python value at one cell (numpy scalars converted back)."""
         cell = self.column(field)[node]
         return cell.item() if isinstance(cell, np.generic) else cell
-
-    def row(self, node: int) -> dict[str, Any]:
-        return {name: self.value(name, node) for name in self._columns}
-
-    # -- updates (the O(ball(k)) column-write path) -------------------------
-
-    def set(self, field: str, node: int, value: Any) -> None:
-        """Write one cell, widening the column to ``object`` on mismatch."""
-        column = self.column(field)
-        if column.dtype == object:
-            column[node] = value
-        elif column.dtype == bool and type(value) is bool:
-            column[node] = value
-        elif (
-            column.dtype == np.int64
-            and type(value) is int
-            and value.bit_length() < 63
-        ):
-            column[node] = value
-        else:
-            widened = np.empty(self._n, dtype=object)
-            widened[:] = column.tolist()
-            widened[node] = value
-            self._columns[field] = widened
-
-    def update(self, field: str, values: Mapping[int, Any]) -> None:
-        for node, value in values.items():
-            self.set(field, node, value)
 
     # -- conversion back ----------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.labeling import Configuration
 from repro.errors import SchemeError
@@ -36,6 +36,7 @@ from repro.obs import metrics as _metrics
 
 __all__ = [
     "BallView",
+    "IncrementalVerifier",
     "LocalView",
     "NeighborGlimpse",
     "Verdict",
@@ -47,6 +48,7 @@ __all__ = [
     "decide",
     "record_view_build",
     "refresh_views",
+    "same_value",
     "view_build_count",
 ]
 
@@ -246,12 +248,12 @@ class _Scaffold:
     (previously O(n·m) for ``radius > 1``).
 
     The scaffold is deliberately *labeling-independent*: it captures only
-    the graph and the identifier assignment, and takes the configuration
-    (for states) as an argument to :meth:`view`.  That is what lets
+    the graph and the identifier assignment, and takes a state lookup
+    (``node -> state``) as an argument to :meth:`view`.  That is what lets
     :meth:`Configuration.with_labeling` propagate a cached scaffold to
-    derived configurations, keeping incremental re-verification loops
-    (the soundness adversaries, ``selfstab`` detection sessions) free of
-    per-round O(n) setup.
+    derived configurations, and what lets :class:`IncrementalVerifier`
+    build views straight from live register dicts without materializing
+    a :class:`Configuration` per edit.
     """
 
     __slots__ = ("graph", "weighted", "uid", "uid_ports")
@@ -274,7 +276,7 @@ class _Scaffold:
 
     def view(
         self,
-        config: Configuration,
+        state: Callable[[int], Any],
         certificates: Mapping[int, Any],
         node: int,
         visibility: Visibility,
@@ -291,7 +293,7 @@ class _Scaffold:
                     port=port,
                     uid=uid[nb],
                     certificate=certificates.get(nb),
-                    state=config.state(nb) if full else None,
+                    state=state(nb) if full else None,
                     weight=graph.weight(node, nb) if weighted else None,
                     back_port=graph.port(nb, node),
                 )
@@ -303,7 +305,7 @@ class _Scaffold:
                 uid[v]: (
                     d,
                     certificates.get(v),
-                    config.state(v) if full else None,
+                    state(v) if full else None,
                 )
                 for v, d in dist.items()
             }
@@ -321,7 +323,7 @@ class _Scaffold:
         return LocalView(
             uid=uid[node],
             degree=graph.degree(node),
-            state=config.state(node),
+            state=state(node),
             certificate=certificates.get(node),
             neighbors=tuple(glimpses),
             ball=ball,
@@ -352,7 +354,9 @@ def build_view(
     radius: int = 1,
 ) -> LocalView:
     """Construct the verification-round view of a single node."""
-    return _scaffold_for(config).view(config, certificates, node, visibility, radius)
+    return _scaffold_for(config).view(
+        config.state, certificates, node, visibility, radius
+    )
 
 
 def build_views(
@@ -366,7 +370,7 @@ def build_views(
     scaffold = _scaffold_for(config)
     return ViewSet(
         {
-            v: scaffold.view(config, certificates, v, visibility, radius)
+            v: scaffold.view(config.state, certificates, v, visibility, radius)
             for v in config.graph.nodes
         },
         visibility,
@@ -414,8 +418,49 @@ def refresh_views(
     updated = ViewSet(views, visibility, radius)
     scaffold = _scaffold_for(config)
     for node in affected_nodes(config.graph, changed, radius):
-        updated[node] = scaffold.view(config, certificates, node, visibility, radius)
+        updated[node] = scaffold.view(
+            config.state, certificates, node, visibility, radius
+        )
     return updated
+
+
+def _typed(value: Any) -> Any:
+    """``value`` with the type of every component made explicit."""
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return kind, tuple(map(_typed, value))
+    if kind is frozenset or kind is set:
+        return kind, frozenset(map(_typed, value))
+    if kind is dict:
+        return kind, frozenset((_typed(k), _typed(v)) for k, v in value.items())
+    return kind, value
+
+
+def same_value(a: Any, b: Any) -> bool:
+    """Type-strict ``==``: whether no verifier can tell ``a`` from ``b``.
+
+    Python's ``==`` conflates ``1``, ``True`` and ``1.0`` (inside
+    containers too), but verifiers may not (``isinstance(state, bool)``),
+    so an incremental engine that took an edit from ``True`` to ``1`` for
+    "unchanged" would keep a stale accept.  This is the equality register
+    diffs use; values it cannot compare count as different, which only
+    costs a re-verification.
+    """
+    if a is b:
+        return True
+    try:
+        return bool(a == b) and _typed(a) == _typed(b)
+    except (TypeError, ValueError):
+        return False
+
+
+def _accepts(verify, view: LocalView) -> bool:
+    """``verify(view)``, with a raising verifier read as rejecting — a
+    malformed certificate must never crash verification into acceptance."""
+    try:
+        return bool(verify(view))
+    except Exception:
+        return False
 
 
 def decide(
@@ -466,12 +511,85 @@ def decide(
     accepts: set[int] = set()
     rejects: set[int] = set()
     for node, view in views.items():
-        try:
-            ok = bool(verify(view))
-        except Exception:
-            ok = False
-        (accepts if ok else rejects).add(node)
+        (accepts if _accepts(verify, view) else rejects).add(node)
+    _metrics.add("verify.nodes", len(views))
     _metrics.inc("decide.calls")
     if rejects:
         _metrics.inc("decide.rejections", len(rejects))
     return Verdict(accepts=frozenset(accepts), rejects=frozenset(rejects))
+
+
+class IncrementalVerifier:
+    """A verdict vector kept current under register edits in O(ball) work.
+
+    The engine behind every repeated re-verification loop (``selfstab``
+    detection sessions, rejection counting).  It holds the reject set of
+    one configuration and no views: :meth:`update` re-runs ``verify``
+    only at :func:`affected_nodes` of the touched nodes — the only views
+    an edit can change — building those views on the fly from the live
+    ``states`` and ``certificates`` mappings, which the caller owns and
+    mutates in place before reporting the touched nodes.
+
+    Seeding is one full decide through ``scheme.run`` (the batched
+    kernel where one exists, the per-node path otherwise — verdict-
+    identical by contract), so the incremental verdict equals a fresh
+    full decide after every edit.  Each re-decided node is charged to
+    the ``verify.nodes`` counter (beside the ``views.built`` its view
+    costs), which a full per-node :func:`decide` charges ``n``.
+    """
+
+    def __init__(
+        self,
+        scheme,
+        config: Configuration,
+        certificates: Mapping[int, Any],
+        states: Mapping[int, Any] | None = None,
+    ) -> None:
+        self.scheme = scheme
+        self.graph = config.graph
+        self._scaffold = _scaffold_for(config)
+        self._states = config.labeling if states is None else states
+        self._certificates = certificates
+        self._nodes = frozenset(config.graph.nodes)
+        self._rejects = scheme.run(config, certificates=certificates).rejects
+        self._verdict: Verdict | None = None
+
+    def verdict(self) -> Verdict:
+        """The verdict at the committed registers."""
+        if self._verdict is None:
+            self._verdict = self._fold(self._rejects)
+        return self._verdict
+
+    def update(self, touched: Iterable[int]) -> None:
+        """Commit edits at ``touched`` (already written to the live maps)."""
+        touched = set(touched)
+        if touched:
+            self._rejects = self._redecide(touched, self._states)
+            self._verdict = None
+
+    def probe(self, touched: Iterable[int], states: Mapping[int, Any]) -> Verdict:
+        """The verdict were the states ``states`` — which differ from the
+        committed ones only at ``touched`` — without committing them."""
+        return self._fold(self._redecide(touched, states))
+
+    def _redecide(
+        self, touched: Iterable[int], states: Mapping[int, Any]
+    ) -> frozenset[int]:
+        """The reject set with the ball of ``touched`` decided anew."""
+        scheme, certificates = self.scheme, self._certificates
+        visibility, radius = scheme.visibility, scheme.radius
+        ball = affected_nodes(self.graph, touched, radius)
+        view, verify, state = self._scaffold.view, scheme.verify, states.__getitem__
+        rejecting = {
+            node
+            for node in ball
+            if not _accepts(
+                verify, view(state, certificates, node, visibility, radius)
+            )
+        }
+        _metrics.add("verify.nodes", len(ball))
+        return self._rejects.difference(ball).union(rejecting)
+
+    def _fold(self, rejects: frozenset[int]) -> Verdict:
+        accepts = self._nodes.difference(rejects) if rejects else self._nodes
+        return Verdict(accepts=accepts, rejects=rejects)

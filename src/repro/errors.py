@@ -108,7 +108,7 @@ class EnvelopeError(ServiceError):
 class ServiceUnavailableError(ServiceError):
     """Raised when the service refuses work because it is saturated.
 
-    The HTTP front end bounds in-flight requests with a semaphore and
+    The HTTP front end bounds in-flight requests with a counted gate and
     answers 429 (with ``Retry-After``) past the bound; the client
     raises this once its bounded retry budget is spent.  Backpressure,
     not failure: the submission was never admitted, so resubmitting

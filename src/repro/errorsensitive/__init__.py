@@ -13,7 +13,7 @@ across the scheme catalog:
   complete state spaces, exactly computes) the register-edit distance;
 * :mod:`repro.errorsensitive.decider` — the decider:
   :func:`count_rejections` / :class:`RejectionCounter` count rejecting
-  nodes over the verifier engine's view-reuse path, and
+  nodes over the verifier engine's incremental verdict vector, and
   :func:`min_rejections` drives the count down adversarially;
 * :mod:`repro.errorsensitive.report` — the campaign:
   :func:`measure_scheme_sensitivity` estimates β̂ per scheme over

@@ -2,17 +2,18 @@
 
 Binary soundness asks *whether* some node rejects; error-sensitivity
 (Feuilloley–Fraigniaud 2017) asks *how many*.  This module counts — and
-does it on the verifier engine's view-reuse path, because a sensitivity
-sweep evaluates hundreds of closely related corrupted labelings of one
-base configuration and must not pay O(n) view builds each time.
+does it on the verifier engine's incremental verdict vector, because a
+sensitivity sweep evaluates hundreds of closely related corrupted
+labelings of one base configuration and must not pay O(n) verifier
+calls each time.
 
 * :func:`count_rejections` — one-shot count for a configuration;
 * :class:`RejectionCounter` — a stateful counter pinned to a base
   configuration and certificate assignment: each :meth:`~RejectionCounter.count`
-  of a corrupted labeling refreshes only the views within the scheme's
-  radius of an edited node (exactly the
-  :func:`~repro.core.verifier.refresh_views` contract the soundness
-  adversaries and the ``selfstab`` detection sessions already ride);
+  of a corrupted labeling re-decides only the nodes within the scheme's
+  radius of an edited node against the base verdict (the
+  :class:`~repro.core.verifier.IncrementalVerifier` the ``selfstab``
+  detection sessions ride);
 * :func:`min_rejections` — the adversarial minimum: error-sensitivity
   quantifies over *all* certificate assignments, so the honest count is
   only an upper bound; the budgeted soundness adversary pushes it down.
@@ -26,8 +27,8 @@ from typing import Any, Iterable, Mapping
 from repro.core.labeling import Configuration, Labeling
 from repro.core.scheme import ProofLabelingScheme
 from repro.core.soundness import AttackResult, attack
-from repro.core.verifier import Verdict
-from repro.errors import SchemeError
+from repro.core.verifier import IncrementalVerifier, Verdict, same_value
+from repro.errors import LabelingError, SchemeError
 from repro.util.rng import make_rng
 
 __all__ = ["RejectionCounter", "count_rejections", "min_rejections"]
@@ -46,20 +47,15 @@ def count_rejections(
 class RejectionCounter:
     """Count rejections for many corrupted labelings of one base config.
 
-    The counter builds the base configuration's verification views once;
-    every :meth:`count` derives the corrupted configuration via
-    :meth:`~repro.core.labeling.Configuration.with_labeling` (sharing the
-    view scaffold) and refreshes only the views that can see an edited
-    node.  Certificates stay pinned to the base assignment — the
-    honest-but-stale reading the self-stabilization campaigns use: the
-    prover certified the legal configuration, then the registers drifted.
-
-    ``backend`` picks the verification machinery per count: ``"views"``
-    (default) is the incremental dict path above; ``"array"`` builds no
-    views and lets each count run the scheme's vectorized batched
-    decider over the CSR mirror (verdict-identical by contract);
-    ``"auto"`` selects ``"array"`` exactly when the scheme supports it
-    and numpy is importable.
+    The counter seeds an :class:`~repro.core.verifier.IncrementalVerifier`
+    with the base configuration's verdict once; every :meth:`count`
+    re-runs the verifier only at nodes whose view can see an edited
+    node and folds that ball into the base verdict without committing
+    it, so each count costs O(ball(edits)) verifier calls beside the
+    O(n) diff of the labeling against the base.  Certificates stay
+    pinned to the base assignment — the honest-but-stale reading the
+    self-stabilization campaigns use: the prover certified the legal
+    configuration, then the registers drifted.
     """
 
     def __init__(
@@ -67,32 +63,13 @@ class RejectionCounter:
         scheme: ProofLabelingScheme,
         config: Configuration,
         certificates: Mapping[int, Any] | None = None,
-        backend: str = "views",
     ) -> None:
         self.scheme = scheme
         self.base = config
         self.certificates = (
             dict(certificates) if certificates is not None else scheme.prove(config)
         )
-        if backend == "auto":
-            from repro.core import batch as _batch
-
-            backend = (
-                "array"
-                if _batch.np is not None and _batch.supports_batch(scheme)
-                else "views"
-            )
-        if backend not in ("views", "array"):
-            raise SchemeError(
-                f"unknown counter backend {backend!r}; "
-                f"use 'views', 'array' or 'auto'"
-            )
-        self.backend = backend
-        self._views = (
-            scheme.build_views(config, self.certificates)
-            if backend == "views"
-            else None
-        )
+        self._verifier = IncrementalVerifier(scheme, config, self.certificates)
 
     def verdict(
         self,
@@ -107,29 +84,28 @@ class RejectionCounter:
         """
         if not isinstance(labeling, Labeling):
             labeling = Labeling(labeling)
-        config = self.base.with_labeling(labeling)
+        base = self.base
+        if len(labeling) != base.n:
+            raise LabelingError("labeling does not cover the graph's nodes")
         if changed is None:
             changed = [
-                v for v in self.base.graph.nodes
-                if labeling[v] != self.base.state(v)
+                v
+                for v in base.graph.nodes
+                if not same_value(labeling[v], base.state(v))
             ]
         else:
             changed = set(changed)
-            stale = [v for v in self.base.graph.nodes
-                     if v not in changed and labeling[v] != self.base.state(v)]
+            stale = [
+                v
+                for v in base.graph.nodes
+                if v not in changed and not same_value(labeling[v], base.state(v))
+            ]
             if stale:
                 raise SchemeError(
                     f"labeling differs outside the declared changed set "
                     f"at nodes {stale[:5]}"
                 )
-        if self._views is None:
-            # Array backend: no cached views, so `run` dispatches to the
-            # batched decider (with automatic per-node fallback).
-            return self.scheme.run(config, certificates=self.certificates)
-        views = self.scheme.refresh_views(
-            config, self.certificates, self._views, changed
-        )
-        return self.scheme.run(config, certificates=self.certificates, views=views)
+        return self._verifier.probe(changed, labeling)
 
     def count(
         self,

@@ -428,7 +428,7 @@ def fault_sweep_campaign(
                     false_neg += not report.alarmed
                     rejects.append(report.verdict.reject_count)
                     # The campaign's session is already at the corrupted
-                    # registers, so recovery inherits it (and its views)
+                    # registers, so recovery inherits it (and its verdict)
                     # instead of rebuilding.
                     recovery = run_guarded(
                         instance.network,

@@ -11,16 +11,18 @@ verified data went bad — the paper's detection guarantee.
 Incremental sweeps
 ------------------
 Silent self-stabilization re-checks the configuration every round,
-forever, so the detection loop is the hot path.  Consecutive sweeps of a
-(nearly) silent system look at near-identical register files, which is
-exactly the situation the verifier engine's
-:func:`~repro.core.verifier.refresh_views` reuse path was built for.
-:class:`DetectionSession` makes :class:`PlsDetector` stateful: it keeps
-the current configuration, certificates, and verification views between
-sweeps, diffs the registers handed to each sweep against its snapshot,
-and rebuilds only the views within the scheme's radius of a change — a
-sweep after ``k`` register changes costs O(ball(k)) view constructions
-instead of O(n).
+forever, so the detection loop is the hot path.  A register fault can
+only change the verdict of nodes whose one-round view sees it, so
+:class:`DetectionSession` makes :class:`PlsDetector` stateful around a
+*verdict vector*: it keeps the current outputs, certificates, and reject
+set between sweeps, diffs the registers handed to each sweep against its
+snapshot, and hands the nodes whose output or certificate changed to the
+verifier engine's :class:`~repro.core.verifier.IncrementalVerifier`.
+That re-runs the verifier only within the scheme's radius of a change —
+a sweep after ``k`` register changes costs O(ball(k)) view builds and
+O(ball(k)) ``verify.nodes`` instead of O(n) of each.  The session seeds
+its vector with one full decide (batched where the scheme has a kernel)
+and stores no views.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.core.labeling import Configuration
 from repro.core.scheme import ProofLabelingScheme
-from repro.core.verifier import Verdict, ViewSet
+from repro.core.verifier import IncrementalVerifier, Verdict, same_value
 from repro.errors import SimulationError
 from repro.local.network import Network
 from repro.obs import metrics as _metrics
@@ -75,10 +77,10 @@ class DetectionReport:
 class PlsDetector:
     """Bind a scheme to a protocol's state decomposition.
 
-    ``backend`` (``"views"``/``"array"``/``"auto"``, see
-    :class:`DetectionSession`) selects the verification machinery for
-    stateless :meth:`sweep` calls and the default for sessions opened
-    through :meth:`session`.  The default stays ``"views"`` so the
+    ``backend`` (``"views"``/``"array"``/``"auto"``) selects the
+    verification machinery of stateless :meth:`sweep` calls only;
+    sessions opened through :meth:`session` always run on the
+    incremental verdict vector.  The default stays ``"views"`` so the
     campaign cost ledgers (``views.built`` per full sweep) keep their
     audited meaning; ``"array"``/``"auto"`` trade that ledger for the
     vectorized batched decider.
@@ -141,22 +143,10 @@ class PlsDetector:
         return DetectionReport(verdict=verdict, legitimate=legitimate)
 
     def session(
-        self,
-        network: Network,
-        states: Mapping[int, Any],
-        backend: str | None = None,
+        self, network: Network, states: Mapping[int, Any]
     ) -> "DetectionSession":
-        """Open an incremental detection session at the given registers.
-
-        ``backend`` selects how sweeps verify (see
-        :class:`DetectionSession`): ``"views"``, ``"array"``, or
-        ``"auto"``; default is the detector's own backend.
-        """
-        if backend is None:
-            backend = self.backend
-        if backend == "views":
-            return DetectionSession(self, network, states)
-        return DetectionSession(self, network, states, backend=backend)
+        """Open an incremental detection session at the given registers."""
+        return DetectionSession(self, network, states)
 
 
 class DetectionSession:
@@ -164,33 +154,19 @@ class DetectionSession:
 
     The session snapshots the register file it last verified.  Each
     :meth:`sweep` diffs the incoming registers against the snapshot
-    (or trusts an explicit ``changed`` set), recomputes outputs and
-    certificates only at changed nodes, and refreshes only the
-    verification views within the scheme's radius of a node whose
-    output or certificate actually changed.  Verdicts are cached
-    between mutations, so re-sweeping an unchanged system is free.
+    (or trusts an explicit ``changed`` set) and recomputes outputs and
+    certificates only at changed nodes.  Nodes whose output or
+    certificate actually changed are handed to an
+    :class:`~repro.core.verifier.IncrementalVerifier`, which keeps the
+    verdict vector and re-runs the verifier only within the scheme's
+    radius of them: a sweep after ``k`` register changes costs
+    O(ball(k)) view builds and ``verify.nodes``, and re-sweeping an
+    unchanged system costs none.
 
-    The views live in a tagged :class:`~repro.core.verifier.ViewSet`, so
-    any attempt to reuse them under a different visibility or radius
-    (e.g. by handing them to another scheme) raises
-    :class:`~repro.errors.SchemeError` instead of mis-verifying.
-
-    ``backend`` selects the sweep machinery:
-
-    ``"views"`` (default)
-        The incremental dict path above: cached per-node views, O(ball)
-        refreshes, per-node verification.
-    ``"array"``
-        No views at all.  The session mirrors the register file into
-        per-field numpy columns (:class:`~repro.core.arrays
-        .ArrayLabeling`, one ``set`` per touched node — the same
-        O(ball(k))-per-sweep update contract) and each verdict comes
-        from the scheme's vectorized batched decider
-        (:mod:`repro.core.batch`), which is verdict-identical by
-        contract.  Needs numpy; fastest when the scheme supports batch.
-    ``"auto"``
-        ``"array"`` exactly when the scheme has a batched decider and
-        numpy is importable, else ``"views"``.
+    No views are stored: the verifier builds the few it needs from the
+    live output and certificate dicts, and the session's
+    :class:`~repro.core.labeling.Configuration` is materialized only
+    when :attr:`config` (or the membership check) reads it.
     """
 
     def __init__(
@@ -198,11 +174,10 @@ class DetectionSession:
         detector: PlsDetector,
         network: Network,
         states: Mapping[int, Any],
-        backend: str = "views",
     ) -> None:
         self.detector = detector
         self.network = network
-        scheme, protocol = detector.scheme, detector.protocol
+        protocol = detector.protocol
         self._contexts = network.contexts()
         self._states: dict[int, Any] = dict(states)
         if set(self._states) != set(network.graph.nodes):
@@ -215,58 +190,27 @@ class DetectionSession:
             v: protocol.certificate(self._contexts[v], self._states[v])
             for v in network.graph.nodes
         }
-        self._config = Configuration.build(
-            network.graph, dict(self._outputs), ids=network.ids
+        self._seed = Configuration.build(network.graph, self._outputs, ids=network.ids)
+        self._config: Configuration | None = self._seed
+        self._verifier = IncrementalVerifier(
+            detector.scheme, self._seed, self._certs, states=self._outputs
         )
-        if backend == "auto":
-            from repro.core import batch as _batch
-
-            backend = (
-                "array"
-                if _batch.np is not None and _batch.supports_batch(scheme)
-                else "views"
-            )
-        if backend not in ("views", "array"):
-            raise SimulationError(
-                f"unknown detection backend {backend!r}; "
-                f"use 'views', 'array' or 'auto'"
-            )
-        self.backend = backend
-        self._views: ViewSet | None = None
-        self._registers = None
-        if backend == "views":
-            self._views = scheme.build_views(self._config, self._certs)
-        else:
-            from repro.core import batch as _batch
-
-            if _batch.np is None:
-                raise SimulationError(
-                    "the array detection backend needs numpy"
-                )
-            from repro.core.arrays import ArrayLabeling
-
-            self._registers = ArrayLabeling.from_fields(
-                network.graph.n,
-                {"output": self._outputs, "certificate": self._certs},
-            )
-        self._verdict: Verdict | None = None
+        #: Nodes touched since the verdict vector was last brought up to date.
+        self._pending: set[int] = set()
 
     # -- state access -------------------------------------------------------
 
     @property
     def config(self) -> Configuration:
         """The configuration of the last-seen registers."""
+        if self._config is None:
+            self._config = self._seed.with_labeling(self._outputs)
         return self._config
 
     @property
     def states(self) -> dict[int, Any]:
         """Snapshot of the last-seen registers (a copy)."""
         return dict(self._states)
-
-    @property
-    def registers(self):
-        """The columnar register mirror (array backend only, else None)."""
-        return self._registers
 
     # -- incremental update -------------------------------------------------
 
@@ -275,66 +219,56 @@ class DetectionSession:
         states: Mapping[int, Any],
         changed: Iterable[int] | None = None,
     ) -> set[int]:
-        """Advance the session to ``states``; returns the refreshed nodes.
+        """Advance the session to ``states``; returns the touched nodes.
 
         ``changed`` is an optional caller-known superset of the nodes
         whose registers differ from the snapshot (e.g. the victims of a
         fault injection, or last round's movers); when omitted, the
         session diffs all ``n`` registers.  Either way, only nodes whose
-        *output or certificate* actually changed trigger view refreshes,
-        so a register rewrite that decodes to the same (output,
-        certificate) pair costs nothing.
+        *output or certificate* actually changed are re-verified (with
+        their balls, at the next :meth:`verify`), so a register rewrite
+        that decodes to the same (output, certificate) pair costs
+        nothing.  "Changed" is type-strict
+        (:func:`~repro.core.verifier.same_value`): a register going from
+        ``True`` to ``1`` is an edit, as it is to a verifier.
         """
         if changed is None:
             _metrics.add("registers.read", len(self._states))
             candidates: Iterable[int] = [
-                v for v in self._states if states[v] != self._states[v]
+                v for v in self._states if not same_value(states[v], self._states[v])
             ]
         else:
             scanned = set(changed)
             _metrics.add("registers.read", len(scanned))
-            candidates = [v for v in scanned if states[v] != self._states[v]]
+            candidates = [
+                v for v in scanned if not same_value(states[v], self._states[v])
+            ]
         protocol = self.detector.protocol
         touched: set[int] = set()
-        output_changed = False
         for v in candidates:
             self._states[v] = states[v]
             ctx = self._contexts[v]
             output = protocol.output(ctx, states[v])
             certificate = protocol.certificate(ctx, states[v])
-            if output != self._outputs[v]:
+            if not same_value(output, self._outputs[v]):
                 self._outputs[v] = output
-                output_changed = True
+                self._config = None
                 touched.add(v)
-            if certificate != self._certs[v]:
+            if not same_value(certificate, self._certs[v]):
                 self._certs[v] = certificate
                 touched.add(v)
         _metrics.add("registers.written", len(touched))
-        if output_changed:
-            self._config = self._config.with_labeling(dict(self._outputs))
-        if touched:
-            if self._views is not None:
-                self._views = self.detector.scheme.refresh_views(
-                    self._config, self._certs, self._views, touched
-                )
-            if self._registers is not None:
-                for v in touched:
-                    self._registers.set("output", v, self._outputs[v])
-                    self._registers.set("certificate", v, self._certs[v])
-            self._verdict = None
+        self._pending |= touched
         return touched
 
     # -- verification -------------------------------------------------------
 
     def verify(self) -> Verdict:
         """The verdict at the current registers (cached until they change)."""
-        if self._verdict is None:
-            # Array backend: no views were built, so `run` dispatches to
-            # the scheme's batched decider (per-node fallback included).
-            self._verdict = self.detector.scheme.run(
-                self._config, certificates=self._certs, views=self._views
-            )
-        return self._verdict
+        if self._pending:
+            self._verifier.update(self._pending)
+            self._pending = set()
+        return self._verifier.verdict()
 
     def sweep(
         self,
@@ -346,16 +280,16 @@ class DetectionSession:
 
         Equivalent to :meth:`PlsDetector.sweep` on the same registers
         (the property tests pin this), but costs O(ball(changed)) view
-        rebuilds.  ``check_membership=False`` skips the global
-        ground-truth membership check — which is *not* part of the
-        detection loop proper — and reports ``legitimate=None``.
+        builds and verifier calls.  ``check_membership=False`` skips the
+        global ground-truth membership check — which is *not* part of
+        the detection loop proper — and reports ``legitimate=None``.
         """
         _metrics.inc("detector.sweeps")
         if states is not None:
             self.update(states, changed)
         verdict = self.verify()
         legitimate = (
-            self.detector.scheme.language.is_member(self._config)
+            self.detector.scheme.language.is_member(self.config)
             if check_membership
             else None
         )

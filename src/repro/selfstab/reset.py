@@ -177,7 +177,7 @@ def run_guarded(
     :class:`~repro.selfstab.detector.DetectionSession` serves all sweeps
     (each costs O(ball(moved)) view rebuilds) *including the escalation
     fallback's* — the global reset inherits the session instead of
-    rebuilding its views from scratch — and the protocol round is
+    re-deciding from scratch — and the protocol round is
     restricted to the rejecting nodes, the only ones whose step can be
     applied.  Callers that already hold a session at ``states`` (the
     campaigns sweep before recovering) can pass it in; the default

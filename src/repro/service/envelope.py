@@ -72,6 +72,10 @@ CERTS_HASH_DOMAIN = "PLS_CERTS/v1"
 #: Domain tag for anti-replay nullifiers (body hash + nonce).
 NULLIFIER_DOMAIN = "PLS_NULLIFIER/v1"
 
+#: Refusal for bodies whose nesting exhausts the decoder's recursion
+#: (JSON parse or canonical decode) — malformed input, not a crash.
+_TOO_DEEP = "envelope nests too deeply to decode"
+
 
 def _encode_assignment(certificates: Mapping[int, Any]) -> list:
     """Node-sorted ``[[node, encoded_cert], ...]`` (the labeling shape)."""
@@ -233,8 +237,9 @@ class ProofEnvelope:
         """Parse and validate a wire object.
 
         Strict: unknown format tags, malformed sections, non-string
-        nonces, and a graph payload that does not hash to its declared
-        binding all raise :class:`~repro.errors.EnvelopeError`.
+        nonces, a graph payload that does not hash to its declared
+        binding, and values nested too deeply to decode all raise
+        :class:`~repro.errors.EnvelopeError`.
 
         ``graph_cache`` maps graph hashes to already-parsed graphs; when
         the wire object's declared ``graph_hash`` is present there, the
@@ -243,6 +248,15 @@ class ProofEnvelope:
         and re-hash are skipped — the warm path of the service's
         graph-affine workers.
         """
+        try:
+            return cls._from_obj(obj, graph_cache)
+        except RecursionError:
+            raise EnvelopeError(_TOO_DEEP) from None
+
+    @classmethod
+    def _from_obj(
+        cls, obj: Any, graph_cache: Mapping[str, Graph] | None
+    ) -> "ProofEnvelope":
         if not isinstance(obj, dict):
             raise EnvelopeError(
                 f"envelope must be an object, got {type(obj).__name__}"
@@ -310,6 +324,8 @@ class ProofEnvelope:
             obj = json.loads(payload)
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise EnvelopeError(f"envelope is not valid JSON: {error}") from None
+        except RecursionError:
+            raise EnvelopeError(_TOO_DEEP) from None
         return cls.from_obj(obj, graph_cache=graph_cache)
 
     def __repr__(self) -> str:

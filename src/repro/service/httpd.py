@@ -37,12 +37,14 @@ Threading model (requests are served concurrently since the
   requests per connection over HTTP/1.1 keep-alive.  The
   :class:`~repro.service.server.CertificationService` underneath is
   thread-safe (see its module docstring for the lock ordering).
-* A **bounded in-flight semaphore** (``max_inflight``) gates the POST
-  routes: past the bound the server answers 429 immediately with
-  ``Retry-After`` instead of queueing unbounded decider work — the
-  backpressure contract (:class:`~repro.errors.ServiceUnavailableError`
-  on the client side).  GET routes bypass the gate so health and
-  metrics stay readable under saturation.
+* A **bounded in-flight gate** (``max_inflight``; an admitted-POST
+  count kept under a lock, which ``/metrics`` reports as ``inflight``)
+  gates the POST routes: past the bound the server answers 429
+  immediately with ``Retry-After`` instead of queueing unbounded
+  decider work — the backpressure contract
+  (:class:`~repro.errors.ServiceUnavailableError` on the client side).
+  GET routes bypass the gate so health and metrics stay readable under
+  saturation.
 * A **per-request read timeout** (``request_timeout``, applied to the
   connection socket) bounds how long a stalled client can pin a worker
   thread: a half-sent body turns into 408, an idle keep-alive
@@ -123,11 +125,26 @@ class CertifyHTTPServer(ThreadingHTTPServer):
         self.max_inflight = max_inflight
         self.request_timeout = request_timeout
         self.verbose = verbose
-        #: Bounds concurrently admitted POST work (the backpressure gate).
-        self.gate = threading.BoundedSemaphore(max_inflight)
+        #: POSTs currently admitted past the backpressure gate; read and
+        #: written only under ``_gate_lock`` (see :meth:`admit`).
+        self.inflight = 0
+        self._gate_lock = threading.Lock()
         #: Unexpected handler-thread exceptions (disconnects excluded);
         #: bounded so a pathological client cannot grow it without limit.
         self.errors: deque[str] = deque(maxlen=64)
+
+    def admit(self) -> bool:
+        """Admit one POST past the gate; ``False`` when saturated."""
+        with self._gate_lock:
+            if self.inflight >= self.max_inflight:
+                return False
+            self.inflight += 1
+            return True
+
+    def release(self) -> None:
+        """Return one admitted POST's slot."""
+        with self._gate_lock:
+            self.inflight -= 1
 
     def handle_error(self, request, client_address) -> None:
         """Keep routine disconnects quiet; record real handler failures.
@@ -260,9 +277,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"schemes": self.service.describe_catalog()})
         elif self.path == "/metrics":
             body = self.service.metrics()
-            gate = self.server.gate  # type: ignore[attr-defined]
             body["max_inflight"] = self.server.max_inflight  # type: ignore[attr-defined]
-            body["inflight"] = self.server.max_inflight - gate._value  # type: ignore[attr-defined]
+            body["inflight"] = self.server.inflight  # type: ignore[attr-defined]
             self._reply(200, body)
         else:
             self._error(404, f"no route {self.path!r}")
@@ -271,8 +287,8 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/certify", "/certify-batch"):
             self._error(404, f"no route {self.path!r}")
             return
-        gate = self.server.gate  # type: ignore[attr-defined]
-        if not gate.acquire(blocking=False):
+        server = self.server
+        if not server.admit():  # type: ignore[attr-defined]
             # Saturated: refuse before reading the body (whose bytes
             # are in flight regardless — hence the connection close).
             _metrics.inc("service.http.throttled")
@@ -293,7 +309,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._certify_batch(body)
         finally:
-            gate.release()
+            server.release()  # type: ignore[attr-defined]
 
     def _certify(self, body: bytes) -> None:
         try:
@@ -312,6 +328,9 @@ class _Handler(BaseHTTPRequestHandler):
             obj = json.loads(body)
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             self._error(400, f"batch body is not valid JSON: {error}")
+            return
+        except RecursionError:
+            self._error(400, "batch body nests too deeply to decode")
             return
         envelopes = obj.get("envelopes") if isinstance(obj, dict) else None
         if not isinstance(envelopes, list):
@@ -363,28 +382,14 @@ def make_server(
     )
 
 
-def serve(
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    service: CertificationService | None = None,
-    verbose: bool = False,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
-) -> None:
-    """Serve forever (the ``repro serve`` entry point)."""
-    server = make_server(
-        host,
-        port,
-        service=service,
-        verbose=verbose,
-        max_inflight=max_inflight,
-        request_timeout=request_timeout,
-    )
-    owned = server.service
+def serve(server: CertifyHTTPServer) -> None:
+    """Serve a bound server until interrupted, then close it and its
+    service (the ``repro serve`` entry point, which binds first so it
+    can report the actual address of ``--port 0``)."""
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:
         server.server_close()
-        owned.close()
+        server.service.close()

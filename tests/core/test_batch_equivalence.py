@@ -179,9 +179,9 @@ class TestFallbackInputs:
 
 
 class TestBackendEquivalence:
-    """views / array / auto detector backends must agree verdict-for-verdict."""
+    """Every stateless detector backend agrees with the incremental session."""
 
-    def _session(self, backend, seed=11):
+    def _system(self, backend, seed=11):
         from repro.graphs.generators import random_tree
         from repro.local.network import Network
         from repro.selfstab.campaign import FrozenCertifiedProtocol
@@ -197,23 +197,21 @@ class TestBackendEquivalence:
         network = Network(graph)
         protocol = FrozenCertifiedProtocol(scheme, member, certs)
         silent = run_until_silent(network, protocol).states
-        detector = PlsDetector(scheme, protocol, backend=backend)
-        return detector.session(network, silent), silent
+        return PlsDetector(scheme, protocol, backend=backend), network, silent
 
-    @pytest.mark.parametrize("backend", ["array", "auto"])
-    def test_detection_session_matches_views_backend(self, backend):
-        reference, silent = self._session("views")
-        candidate, _ = self._session(backend)
-        baseline = reference.verify()
-        assert candidate.verify().rejects == baseline.rejects
-        # Corrupt one register and resweep incrementally on both.
+    @pytest.mark.parametrize("backend", ["views", "array", "auto"])
+    def test_session_matches_stateless_sweep(self, backend):
+        detector, network, silent = self._system(backend)
+        session = detector.session(network, silent)
+        assert session.verify() == detector.sweep(network, silent).verdict
+        # Corrupt one register and resweep incrementally.
         bad = dict(silent)
         victim = next(iter(bad))
         state, _cert = bad[victim]
         bad[victim] = (state, ("corrupt", 7))
-        ref_report = reference.sweep(bad, changed=[victim], check_membership=False)
-        cand_report = candidate.sweep(bad, changed=[victim], check_membership=False)
-        assert cand_report.verdict.rejects == ref_report.verdict.rejects
+        report = session.sweep(bad, changed=[victim], check_membership=False)
+        assert report.verdict == detector.sweep(network, bad).verdict
+        assert report.verdict.rejects
 
     def test_unknown_backend_rejected(self):
         from repro.errors import SimulationError
@@ -226,15 +224,20 @@ class TestBackendEquivalence:
         with pytest.raises(SimulationError):
             PlsDetector(scheme, protocol, backend="bogus")
 
-    @pytest.mark.parametrize("backend", ["views", "array", "auto"])
-    def test_rejection_counter_backends_agree(self, backend):
+    def test_rejection_counter_matches_batched_run(self):
         from repro.errorsensitive.decider import RejectionCounter
 
         rng = make_rng(21)
         scheme, config = _fitted(catalog.get("spanning-tree-list"), rng)
+        assert supports_batch(scheme)
         certs = scheme.prove(config)
-        counter = RejectionCounter(scheme, config, certs, backend=backend)
+        counter = RejectionCounter(scheme, config, certs)
         assert counter.verdict(config.labeling).all_accept
+        states = {v: config.state(v) for v in config.graph.nodes}
+        states[0] = rng.choice(JUNK)
+        assert counter.verdict(states) == scheme.run(
+            config.with_labeling(states), certificates=certs
+        )
 
     def test_isolated_equals_infinity_guard(self):
         """β̂ of math.inf is never produced: min over empty sample sets

@@ -35,7 +35,11 @@ from repro.service.httpd import make_server
 def _serving(service, **kwargs):
     """A live threaded server around ``service``; yields its base URL."""
     server = make_server(port=0, service=service, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting out the
+    # default half-second serve_forever poll at every teardown.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield server, "http://%s:%d" % server.server_address[:2]
@@ -43,6 +47,13 @@ def _serving(service, **kwargs):
         server.shutdown()
         server.server_close()
         service.close()
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 def _run_threads(workers):
@@ -303,6 +314,37 @@ class TestBackpressure:
                 holder.join(timeout=30)
             assert not holder.is_alive(), "admitted submission never settled"
             assert accepted == [True]  # the occupant's verdict survived
+
+    def test_metrics_count_held_requests(self):
+        service = _BlockingService()
+        envelopes = [build_envelope("bipartite", n=8, seed=60 + i) for i in range(2)]
+        with _serving(service, max_inflight=4) as (server, url):
+            accepted = []
+
+            def occupant(envelope):
+                with CertifyClient(url) as client:
+                    accepted.append(client.submit(envelope).accepted)
+
+            holders = [
+                threading.Thread(target=occupant, args=(envelope,))
+                for envelope in envelopes
+            ]
+            for holder in holders:
+                holder.start()
+            try:
+                _wait_for(lambda: server.inflight == 2)
+                with CertifyClient(url) as probe:
+                    body = probe.metrics()
+                assert (body["inflight"], body["max_inflight"]) == (2, 4)
+            finally:
+                service.release.set()
+                for holder in holders:
+                    holder.join(timeout=30)
+            assert accepted == [True, True]
+            # A slot is returned just after its reply is written.
+            _wait_for(lambda: server.inflight == 0)
+            with CertifyClient(url) as probe:
+                assert probe.metrics()["inflight"] == 0
 
     def test_client_retry_budget_exhaustion_raises(self):
         service = _BlockingService()

@@ -15,16 +15,25 @@ from repro.service.httpd import make_server
 
 
 @pytest.fixture
-def server_url():
+def live_server():
     service = CertificationService()
     server = make_server(port=0, service=service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting out the
+    # default half-second serve_forever poll at every teardown.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
+    yield server
     server.shutdown()
     server.server_close()
     service.close()
+
+
+@pytest.fixture
+def server_url(live_server):
+    host, port = live_server.server_address[:2]
+    return f"http://{host}:{port}"
 
 
 def _get(url):
@@ -115,6 +124,22 @@ class TestCertify:
         assert body["max_inflight"] >= 1
         # the GET itself bypasses the gate, so nothing is in flight
         assert body["inflight"] == 0
+
+
+class TestHostileBodies:
+    """Bodies nested past the decoder's recursion limit get a 400 reply,
+    not a dropped connection, and leave no handler fault behind."""
+
+    @pytest.mark.parametrize("route", ["/certify", "/certify-batch"])
+    @pytest.mark.parametrize(
+        "body", [b"[" * 100_000, b'{"a":' * 100_000], ids=["arrays", "objects"]
+    )
+    def test_deep_nesting_is_a_400(self, live_server, server_url, route, body):
+        status, payload = _post(server_url + route, body)
+        assert status == 400 and "too deeply" in payload["error"]
+        assert not live_server.errors
+        status, _ = _get(server_url + "/healthz")
+        assert status == 200
 
 
 class TestCertifyBatch:

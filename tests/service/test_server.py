@@ -16,7 +16,7 @@ from repro.core import catalog
 from repro.core.batch import try_batch_verdict
 from repro.core.labeling import Configuration
 from repro.core.verifier import decide
-from repro.errors import ReplayError, ServiceError
+from repro.errors import EnvelopeError, ReplayError, ServiceError
 from repro.obs import metrics as obs
 from repro.service import (
     CertificationResult,
@@ -193,6 +193,34 @@ class TestValidation:
         second = CertificationService().submit(envelope)
         assert first.to_obj()["rejecting"] == second.to_obj()["rejecting"]
         assert first.body_hash == second.body_hash
+
+
+#: Bodies nested past the JSON decoder's recursion limit.
+DEEP_BODIES = {"arrays": b"[" * 100_000, "objects": b'{"a":' * 100_000}
+
+
+class TestHostileInput:
+    """Input nested too deeply to decode is refused, never a crash."""
+
+    @pytest.mark.parametrize("kind", sorted(DEEP_BODIES))
+    def test_deep_body_is_an_envelope_error(self, kind):
+        service = CertificationService()
+        with pytest.raises(EnvelopeError, match="too deeply"):
+            service.submit(DEEP_BODIES[kind])
+        assert service.stats["cache_misses"] == 0
+
+    def test_deep_value_inside_a_parsed_object(self):
+        # Shallow enough for the JSON decoder, too deep for the
+        # canonical value decoder that runs after it.
+        obj = build_envelope("bipartite", n=8, seed=7).to_obj()
+        obj["params"] = [[]]
+        for _ in range(5000):
+            obj["params"] = [obj["params"]]
+        service = CertificationService()
+        with pytest.raises(EnvelopeError, match="too deeply"):
+            service.submit(obj)
+        [(kind, message)] = service.submit_settled([obj])
+        assert kind == "invalid" and "too deeply" in message
 
 
 class TestResultWireForm:

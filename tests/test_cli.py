@@ -402,7 +402,9 @@ class TestServiceCommands:
 
         service = CertificationService()
         server = make_server(port=0, service=service)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        ).start()
         url = "http://%s:%d" % server.server_address[:2]
         try:
             assert main(["submit", str(out), "--url", url]) == 0
@@ -419,6 +421,38 @@ class TestServiceCommands:
             server.shutdown()
             server.server_close()
             service.close()
+
+    def test_serve_port_zero_reports_bound_port(self, capsys, monkeypatch):
+        import json
+        import re
+        import threading
+        import urllib.request
+
+        from repro.service import httpd
+
+        seen = {}
+
+        def serve_briefly(server):
+            banner = capsys.readouterr().err
+            seen["port"] = int(re.search(r"http://127\.0\.0\.1:(\d+) ", banner)[1])
+            threading.Thread(
+                target=server.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                daemon=True,
+            ).start()
+            try:
+                url = f"http://127.0.0.1:{seen['port']}/healthz"
+                with urllib.request.urlopen(url, timeout=10) as response:
+                    seen["health"] = json.load(response)
+            finally:
+                server.shutdown()
+                server.server_close()
+                server.service.close()
+
+        monkeypatch.setattr(httpd, "serve", serve_briefly)
+        assert main(["serve", "--port", "0"]) == 0
+        assert seen["port"] != 0
+        assert seen["health"] == {"ok": True}
 
     def test_submit_unreachable_server_exits(self, tmp_path):
         out = tmp_path / "env.json"
