@@ -55,7 +55,11 @@ class Labeling(Mapping[int, Any]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Labeling):
             return NotImplemented
-        return self._states == other._states
+        from repro.core.verifier import same_value
+
+        return self._states.keys() == other._states.keys() and all(
+            same_value(state, other._states[v]) for v, state in self._states.items()
+        )
 
     def __repr__(self) -> str:
         return f"Labeling({len(self._states)} nodes)"
@@ -109,46 +113,35 @@ class Labeling(Mapping[int, Any]):
         layer's content hashes require.  States with no canonical form
         raise :class:`~repro.errors.CanonicalError`.
         """
-        from repro.util.canonical import encode_value
+        from repro.util.canonical import encode_assignment
 
-        return [
-            [node, encode_value(state)]
-            for node, state in sorted(self._states.items())
-        ]
+        return encode_assignment(self._states)
 
     @classmethod
     def from_obj(cls, obj: Any) -> "Labeling":
-        """Rebuild a labeling from :meth:`to_obj` output (exact round trip)."""
-        from repro.errors import CanonicalError
-        from repro.util.canonical import decode_value
+        """Rebuild a labeling from :meth:`to_obj` output (exact round trip).
 
-        if not isinstance(obj, (list, tuple)):
-            raise CanonicalError(
-                f"labeling object must be a list, got {type(obj).__name__}"
-            )
-        states: dict[int, Any] = {}
-        for pair in obj:
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not isinstance(pair[0], int)
-                or isinstance(pair[0], bool)
-            ):
-                raise CanonicalError(f"malformed labeling entry {pair!r}")
-            node = pair[0]
-            if node in states:
-                raise CanonicalError(f"duplicate labeling entry for node {node}")
-            states[node] = decode_value(pair[1])
-        return cls(states)
+        Canonical form only (see
+        :func:`~repro.util.canonical.decode_assignment`): nodes strictly
+        ascending, states under the strict ``decode_value``.
+        """
+        from repro.util.canonical import decode_assignment
+
+        return cls(decode_assignment(obj, "labeling"))
 
     # -- metrics --------------------------------------------------------------
 
     def hamming_distance(self, other: "Labeling") -> int:
-        """Number of nodes whose states differ."""
-        if set(self._states) != set(other._states):
+        """Number of nodes whose states differ (type-strictly: ``True``
+        and ``1`` are different states, as verifiers may tell them apart)."""
+        from repro.core.verifier import same_value
+
+        if self._states.keys() != other._states.keys():
             raise LabelingError("labelings cover different node sets")
         return sum(
-            1 for v, state in self._states.items() if other._states[v] != state
+            1
+            for v, state in self._states.items()
+            if not same_value(other._states[v], state)
         )
 
     def max_state_bits(self) -> int:

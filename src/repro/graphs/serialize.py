@@ -21,6 +21,7 @@ edge or none).  :func:`graph_hash` is the domain-separated content hash
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.errors import CanonicalError
@@ -41,6 +42,8 @@ GRAPH_FORMAT = "pls-graph/v1"
 
 #: Domain tag under which graph content hashes are computed.
 GRAPH_HASH_DOMAIN = "PLS_GRAPH/v1"
+
+_GRAPH_KEYS = frozenset({"format", "n", "edges", "weights"})
 
 
 def graph_to_obj(graph: Graph) -> dict[str, Any]:
@@ -63,22 +66,31 @@ def graph_from_obj(obj: Any) -> Graph:
 
     Validation is strict — a malformed object raises
     :class:`~repro.errors.CanonicalError` rather than producing a graph
-    that hashes differently from the one serialized.
+    that hashes differently from the one serialized.  Only the canonical
+    form is accepted: exactly the four keys, and edges as ``[u, v]``
+    with ``u < v`` in strictly ascending order (``Graph``'s own order),
+    so ``canonical_bytes(obj)`` is the graph's canonical byte form.
     """
     if not isinstance(obj, dict):
         raise CanonicalError(f"graph object must be a dict, got {type(obj).__name__}")
-    if obj.get("format") != GRAPH_FORMAT:
+    if obj.keys() != _GRAPH_KEYS:
         raise CanonicalError(
-            f"unsupported graph format {obj.get('format')!r} "
+            f"graph object must have exactly the keys {sorted(_GRAPH_KEYS)}, "
+            f"got {sorted(map(str, obj))}"
+        )
+    if obj["format"] != GRAPH_FORMAT:
+        raise CanonicalError(
+            f"unsupported graph format {obj['format']!r} "
             f"(expected {GRAPH_FORMAT!r})"
         )
-    n = obj.get("n")
+    n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise CanonicalError(f"graph node count {n!r} is not a non-negative int")
-    raw_edges = obj.get("edges")
+    raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise CanonicalError("graph edges must be a list of [u, v] pairs")
     edges: list[tuple[int, int]] = []
+    previous = (-1, -1)
     for pair in raw_edges:
         if (
             not isinstance(pair, (list, tuple))
@@ -86,8 +98,15 @@ def graph_from_obj(obj: Any) -> Graph:
             or not all(isinstance(e, int) and not isinstance(e, bool) for e in pair)
         ):
             raise CanonicalError(f"malformed edge entry {pair!r}")
-        edges.append((pair[0], pair[1]))
-    raw_weights = obj.get("weights")
+        edge = (pair[0], pair[1])
+        if not (edge[0] < edge[1] and edge > previous):
+            raise CanonicalError(
+                f"edge {pair!r} is out of canonical order "
+                f"(u < v, edges strictly ascending)"
+            )
+        edges.append(edge)
+        previous = edge
+    raw_weights = obj["weights"]
     weights = None
     if raw_weights is not None:
         if not isinstance(raw_weights, list) or len(raw_weights) != len(edges):
@@ -95,7 +114,11 @@ def graph_from_obj(obj: Any) -> Graph:
                 "graph weights must align index-for-index with edges"
             )
         for w in raw_weights:
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
+            if (
+                isinstance(w, bool)
+                or not isinstance(w, (int, float))
+                or (isinstance(w, float) and not math.isfinite(w))
+            ):
                 raise CanonicalError(f"non-numeric edge weight {w!r}")
         weights = dict(zip(edges, raw_weights))
     try:

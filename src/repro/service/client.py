@@ -56,15 +56,16 @@ MAX_RETRY_WAIT_S = 1.0
 RETRY_AFTER_FALLBACK = 0.2
 
 
-def _wire_obj(envelope: Any) -> Any:
-    """An envelope in wire-object form (dict), from any accepted shape."""
+def _wire_bytes(envelope: Any) -> bytes:
+    """An envelope's wire bytes, from any accepted shape (instances
+    splice their memoised canonical parts; bytes pass as they are)."""
     if isinstance(envelope, ProofEnvelope):
-        return envelope.to_obj()
+        return envelope.to_bytes()
     if isinstance(envelope, (bytes, bytearray)):
-        return json.loads(envelope.decode("utf-8"))
+        return bytes(envelope)
     if isinstance(envelope, str):
-        return json.loads(envelope)
-    return envelope
+        return envelope.encode("utf-8")
+    return json.dumps(envelope).encode("utf-8")
 
 
 class CertifyClient:
@@ -216,15 +217,7 @@ class CertifyClient:
         :class:`ServiceUnavailableError` once the 429 retry budget is
         spent.
         """
-        if isinstance(envelope, ProofEnvelope):
-            body = envelope.to_bytes()
-        elif isinstance(envelope, (bytes, bytearray)):
-            body = bytes(envelope)
-        elif isinstance(envelope, str):
-            body = envelope.encode("utf-8")
-        else:
-            body = json.dumps(envelope).encode("utf-8")
-        status, obj = self._request("POST", "/certify", body)
+        status, obj = self._request("POST", "/certify", _wire_bytes(envelope))
         if status != 200:
             self._raise_for(status, obj)
         return CertificationResult.from_obj(obj)
@@ -239,12 +232,15 @@ class CertifyClient:
         :class:`ReplayError` instance for a spent nullifier, a
         :class:`ServiceError` instance for the 400 class — errors as
         values, never raised, so one bad envelope cannot hide the
-        verdicts around it.  (Transport-level failures and a spent 429
-        budget still raise.)
+        verdicts around it.  (Transport-level failures, a spent 429
+        budget, and a batch body the server cannot parse as JSON — an
+        item that is not JSON text — still raise.)
+
+        The body is spliced from each envelope's wire bytes, so nothing
+        is re-encoded.
         """
-        body = json.dumps(
-            {"envelopes": [_wire_obj(envelope) for envelope in envelopes]}
-        ).encode("utf-8")
+        items = b",".join(_wire_bytes(envelope) for envelope in envelopes)
+        body = b'{"envelopes":[' + items + b"]}"
         status, obj = self._request("POST", "/certify-batch", body)
         if status != 200:
             self._raise_for(status, obj)

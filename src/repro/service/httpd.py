@@ -326,7 +326,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _certify_batch(self, body: bytes) -> None:
         try:
             obj = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        except ValueError as error:
+            # JSONDecodeError, UnicodeDecodeError, and integers past the
+            # interpreter's digit limit are all ValueErrors.
             self._error(400, f"batch body is not valid JSON: {error}")
             return
         except RecursionError:

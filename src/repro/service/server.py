@@ -5,11 +5,12 @@ split.  One :meth:`~CertificationService.submit` call takes a
 :class:`~repro.service.envelope.ProofEnvelope` (or its wire form) and
 returns a structured :class:`CertificationResult`:
 
-1. **Validate** — the envelope's scheme name must be registered and its
-   parameters must satisfy the per-scheme schema derived from the
-   catalog's declared :class:`~repro.core.catalog.ParamSpec` list
-   (unknown names, out-of-bound values, and non-numbers are rejected
-   before any graph work).
+1. **Identify** — wire input is parsed once into a
+   :class:`~repro.service.envelope.WireEnvelope`: format, scheme and
+   nonce checked, the raw graph hashed and checked against its declared
+   binding, the raw labeling and certificates hashed, and ``body_hash``
+   and the nullifier derived — all from canonical bytes, with nothing
+   O(n) decoded.
 2. **Anti-replay** — the envelope's nullifier is spent in the
    :class:`~repro.service.envelope.NullifierRegistry`; a replayed
    envelope raises :class:`~repro.errors.ReplayError` and charges the
@@ -17,9 +18,14 @@ returns a structured :class:`CertificationResult`:
 3. **Cache** — results live in a bounded LRU keyed by the envelope's
    ``body_hash`` (scheme + params + graph hash + labeling hash +
    certificates hash), so a hot configuration resubmitted under a fresh
-   nonce is served in O(1) with zero decider work (``service.cache.hit``
-   vs ``service.cache.miss``).
-4. **Decide** — cold misses build the scheme through
+   nonce is served with zero decoding and zero decider work
+   (``service.cache.hit`` vs ``service.cache.miss``).
+4. **Decode and validate** — only on a miss: the payloads are decoded
+   (strictly canonical, so the decoded envelope has the hashes derived
+   from its bytes), the scheme name must be registered and its
+   parameters must satisfy the per-scheme schema derived from the
+   catalog's declared :class:`~repro.core.catalog.ParamSpec` list.
+5. **Decide** — cold misses build the scheme through
    :func:`repro.core.catalog.build` (rng seeded deterministically from
    the body hash, so served verdicts are reproducible bit-for-bit),
    prove honestly when the envelope carries no certificates, and decide
@@ -76,7 +82,7 @@ from repro.errors import (
 )
 from repro.graphs.graph import Graph
 from repro.obs import metrics as _metrics
-from repro.service.envelope import NullifierRegistry, ProofEnvelope
+from repro.service.envelope import NullifierRegistry, ProofEnvelope, WireEnvelope
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -265,10 +271,12 @@ class _ShardPool:
     def __len__(self) -> int:
         return len(self._shards)
 
-    def shard_of(self, envelope: ProofEnvelope) -> int:
+    def shard_of(self, envelope: ProofEnvelope | WireEnvelope) -> int:
         return int(envelope.graph_hash[:8], 16) % len(self._shards)
 
-    def submit(self, envelope: ProofEnvelope):
+    def submit(self, envelope: ProofEnvelope | WireEnvelope):
+        """Ship ``envelope``'s wire bytes (as received, for a
+        :class:`WireEnvelope`) to its shard."""
         executor = self._shards[self.shard_of(envelope)]
         return executor.submit(_worker_certify, envelope.to_bytes())
 
@@ -367,12 +375,16 @@ class CertificationService:
 
     # -- submission ----------------------------------------------------------
 
-    def _parse(self, envelope: Any) -> ProofEnvelope:
-        if isinstance(envelope, ProofEnvelope):
+    def _parse(self, envelope: Any) -> ProofEnvelope | WireEnvelope:
+        """The one parse path: wire input (bytes, str, or a wire dict such
+        as a ``/certify-batch`` item) becomes a :class:`WireEnvelope`,
+        identified and hash-bound with its payloads still raw; decoding
+        waits for a cache miss.  Instances pass through."""
+        if isinstance(envelope, (ProofEnvelope, WireEnvelope)):
             return envelope
-        if isinstance(envelope, (bytes, str)):
-            return ProofEnvelope.from_bytes(envelope)
-        return ProofEnvelope.from_obj(envelope)
+        if isinstance(envelope, (bytes, bytearray, str)):
+            return WireEnvelope.from_bytes(envelope)
+        return WireEnvelope(envelope)
 
     def submit(
         self,
@@ -427,6 +439,9 @@ class CertificationService:
         if future is not None:
             raw = self._collect(future)
         else:
+            if isinstance(parsed, WireEnvelope):
+                with _stage(timings, "decode"):
+                    parsed = parsed.decode()
             raw = _execute(parsed, timings)
         timings["total"] = time.perf_counter() - start
         result = CertificationResult(
@@ -495,7 +510,7 @@ class CertificationService:
             except ServiceError as error:
                 parsed.append(error)
         prelaunched = self._prelaunch(
-            [item for item in parsed if isinstance(item, ProofEnvelope)]
+            [item for item in parsed if not isinstance(item, ServiceError)]
         )
         outcomes: list[tuple[str, Any]] = []
         try:
@@ -515,7 +530,9 @@ class CertificationService:
             self._drain(prelaunched)
         return outcomes
 
-    def _prelaunch(self, parsed: list[ProofEnvelope]) -> dict[str, Any]:
+    def _prelaunch(
+        self, parsed: list[ProofEnvelope | WireEnvelope]
+    ) -> dict[str, Any]:
         """Launch distinct, uncached, unspent cold bodies on the pool."""
         prelaunched: dict[str, Any] = {}
         if self._pool is None:

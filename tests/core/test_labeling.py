@@ -84,6 +84,14 @@ class TestHammingDistance:
         with pytest.raises(LabelingError):
             Labeling({0: 1}).hamming_distance(Labeling({1: 1}))
 
+    def test_type_strict(self):
+        # 1 == True == 1.0 in Python, but verifiers can tell them apart.
+        a = Labeling({0: True, 1: (1, 2), 2: 0})
+        b = Labeling({0: 1, 1: (1.0, 2), 2: False})
+        assert a != b
+        assert a.hamming_distance(b) == 3
+        assert a == Labeling({0: True, 1: (1, 2), 2: 0})
+
 
 class TestCorruption:
     def test_corrupts_exact_count(self):

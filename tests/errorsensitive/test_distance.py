@@ -29,6 +29,18 @@ class TestDistanceZero:
 
 
 class TestExactSearch:
+    def test_int_standing_in_for_a_bool_is_one_edit_out(self):
+        # 1 == True, but the leader language reads isinstance(state, bool):
+        # rewriting the leader's True to 1 leaves a non-member at distance 1.
+        graph = path_graph(4)
+        member = LEADER.member_configuration(graph, rng=make_rng(0))
+        [leader] = [v for v in graph.nodes if member.state(v) is True]
+        bad = member.with_labeling(member.labeling.with_state(leader, 1))
+        assert not LEADER.is_member(bad)
+        assert bad.labeling != member.labeling
+        result = distance_to_language(bad, LEADER)
+        assert result.exact and result.lower == result.upper == 1
+
     def test_extra_leaders_count_exactly(self):
         graph = path_graph(6)
         member = LEADER.member_configuration(graph, rng=make_rng(1))

@@ -258,7 +258,7 @@ class TestProofEnvelope:
         env = _envelope("n1")
         _ = env.body_hash
         fresh = env.with_nonce("n2")
-        assert fresh._hashes is env._hashes
+        assert fresh._memo is env._memo
         assert fresh.body_hash == env.body_hash
 
     def test_tampered_graph_binding_rejected(self):

@@ -10,7 +10,7 @@ import urllib.request
 import pytest
 
 from repro.core import catalog
-from repro.service import CertificationService, build_envelope
+from repro.service import CertificationService, ProofEnvelope, build_envelope
 from repro.service.httpd import make_server
 
 
@@ -142,6 +142,113 @@ class TestHostileBodies:
         assert status == 200
 
 
+def _hostile_bodies():
+    """Envelope bodies the decoders must refuse, keyed by what is wrong.
+
+    Each starts from an honest body whose certificate at node 0 is a
+    frozenset, then swaps one piece for a non-canonical or unencodable
+    alias at the byte level.
+    """
+    base = build_envelope("spanning-tree-ptr", n=8, seed=31)
+    certificates = dict(base.certificates)
+    certificates[0] = frozenset({1, 2, 3})
+    obj = ProofEnvelope(
+        scheme=base.scheme,
+        params=base.params,
+        graph=base.graph,
+        labeling=base.labeling,
+        certificates=certificates,
+        nonce="hostile",
+    ).to_obj()
+    fset = '{"__pls__": "fset", "v": [1, 2, 3]}'
+
+    def swap_cert(alias):
+        return json.dumps(obj).replace(fset, alias).encode()
+
+    def mutated(mutate):
+        copy = json.loads(json.dumps(obj))
+        mutate(copy)
+        return json.dumps(copy).encode()
+
+    def reverse_first_edge(o):
+        o["graph"]["edges"][0].reverse()
+
+    return {
+        "non-finite-float": swap_cert("1e400"),
+        "set-unsorted": swap_cert('{"__pls__": "fset", "v": [3, 1, 2]}'),
+        "set-duplicate": swap_cert('{"__pls__": "fset", "v": [1, 1, 2]}'),
+        "dict-unsorted": swap_cert('{"__pls__": "dict", "v": [["b", 1], ["a", 2]]}'),
+        "dict-duplicate-key": swap_cert(
+            '{"__pls__": "dict", "v": [["a", 1], ["a", 2]]}'
+        ),
+        "hex-uppercase": swap_cert('{"__pls__": "bytes", "v": "0A"}'),
+        "hex-odd-length": swap_cert('{"__pls__": "bytes", "v": "0a0"}'),
+        "wrapper-extra-key": swap_cert('{"__pls__": "fset", "v": [1], "w": 0}'),
+        "unhashable-set-member": swap_cert(
+            '{"__pls__": "fset", "v": [{"__pls__": "list", "v": []}]}'
+        ),
+        "nonce-lone-surrogate": mutated(lambda o: o.update(nonce="\ud800")),
+        "labeling-nodes-descending": mutated(lambda o: o["labeling"].reverse()),
+        "certificate-nodes-descending": mutated(
+            lambda o: o["certificates"].reverse()
+        ),
+        "edge-pair-reversed": mutated(reverse_first_edge),
+        "edges-unsorted": mutated(lambda o: o["graph"]["edges"].reverse()),
+    }
+
+
+HOSTILE = _hostile_bodies()
+
+
+class TestNonCanonicalBodies:
+    """Every non-canonical alias and every unencodable value is a typed
+    400 on both routes, never a dropped connection or a fresh verdict."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_certify_400(self, live_server, server_url, name):
+        status, body = _post(server_url + "/certify", HOSTILE[name])
+        assert status == 400 and "error" in body
+        assert not live_server.errors
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_batch_item_400(self, live_server, server_url, name):
+        good = build_envelope("bipartite", n=8, seed=32).to_bytes()
+        batch = b'{"envelopes": [' + HOSTILE[name] + b", " + good + b"]}"
+        status, body = _post(server_url + "/certify-batch", batch)
+        assert status == 200
+        assert [item["status"] for item in body["results"]] == [400, 200]
+        assert not live_server.errors
+
+    @pytest.mark.parametrize("route", ["/certify", "/certify-batch"])
+    def test_integer_past_the_digit_limit_400(self, live_server, server_url, route):
+        digits = b"1" * 5000
+        body = b'{"envelopes": [' + digits + b"]}" if "batch" in route else digits
+        status, payload = _post(server_url + route, body)
+        assert status == 400 and "not valid JSON" in payload["error"]
+        assert not live_server.errors
+
+    def test_permuted_set_replay_is_400_not_a_verdict(self, server_url):
+        canonical = HOSTILE["set-unsorted"].replace(
+            b"[3, 1, 2]", b"[1, 2, 3]"
+        )
+        status, body = _post(server_url + "/certify", canonical)
+        assert status == 200 and not body["cache_hit"]
+        status, body = _post(server_url + "/certify", canonical)
+        assert status == 409
+        status, body = _post(server_url + "/certify", HOSTILE["set-unsorted"])
+        assert status == 400 and "canonical order" in body["error"]
+
+    def test_pretty_printed_body_hits_the_cache(self, server_url):
+        envelope = build_envelope("spanning-tree-ptr", n=24, seed=33)
+        status, body = _post(server_url + "/certify", envelope.to_bytes())
+        assert status == 200 and not body["cache_hit"]
+        obj = envelope.with_nonce("pretty").to_obj()
+        pretty = json.dumps(dict(reversed(list(obj.items()))), indent=2)
+        status, body = _post(server_url + "/certify", pretty.encode())
+        assert status == 200 and body["cache_hit"]
+        assert body["body_hash"] == envelope.body_hash
+
+
 class TestCertifyBatch:
     def test_mixed_batch_settles_every_envelope(self, server_url):
         honest = build_envelope("bipartite", n=8, seed=21)
@@ -180,6 +287,27 @@ class TestCertifyBatch:
         first, second = body["results"]
         assert not first["result"]["cache_hit"]
         assert second["result"]["cache_hit"]
+
+    def test_client_batch_is_spliced_from_bytes(self, server_url, monkeypatch):
+        from repro.service.client import CertifyClient
+
+        envelopes = [
+            build_envelope("bipartite", n=8, seed=25),
+            build_envelope("leader", n=10, seed=26, corrupt=1),
+        ]
+        raw = envelopes[0].with_nonce("raw").to_bytes()
+
+        def boom(self):
+            raise AssertionError("batch body re-encoded an envelope")
+
+        monkeypatch.setattr(ProofEnvelope, "to_obj", boom)
+        with CertifyClient(server_url) as client:
+            outcomes = client.submit_many(envelopes + [raw])
+        assert [o.body_hash for o in outcomes] == [
+            envelopes[0].body_hash, envelopes[1].body_hash, envelopes[0].body_hash
+        ]
+        assert [o.cache_hit for o in outcomes] == [False, False, True]
+        assert [o.accepted for o in outcomes] == [True, False, True]
 
     def test_batch_bad_json_400(self, server_url):
         status, body = _post(server_url + "/certify-batch", b"not json")
